@@ -1,7 +1,11 @@
 package chirp_test
 
 import (
+	"bufio"
 	"bytes"
+	"io"
+	"net"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -323,5 +327,75 @@ func TestGroupLotOverChirp(t *testing.T) {
 	}
 	if err := mary.PutBytes("/m2", []byte("x"), lot.ID); err == nil {
 		t.Error("revoked member still writes")
+	}
+}
+
+// TestPutAllocs guards the client upload path: a 1 MB Put copies
+// through a pooled chunk, not a fresh 32 KB io.Copy buffer per call.
+// The peer is a scripted loopback server that drains the body without
+// allocating, so the count is the client's own.
+func TestPutAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under the race detector")
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	const size = 1 << 20
+	served := make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			served <- err
+			return
+		}
+		defer conn.Close()
+		br := bufio.NewReader(conn)
+		io.WriteString(conn, "+OK nest\n")
+		br.ReadSlice('\n') // auth anonymous
+		io.WriteString(conn, "+OK user anonymous\n")
+		for {
+			line, err := br.ReadSlice('\n')
+			if err != nil || !bytes.HasPrefix(line, []byte("put ")) {
+				served <- nil
+				return
+			}
+			io.WriteString(conn, "+DATA\n")
+			if _, err := io.CopyN(io.Discard, br, size); err != nil {
+				served <- err
+				return
+			}
+			io.WriteString(conn, "+OK 1048576\n")
+		}
+	}()
+
+	c, err := chirp.Dial(ln.Addr().String(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := make([]byte, size)
+	src := bytes.NewReader(data)
+	put := func() {
+		src.Reset(data)
+		if n, err := c.Put("/f", src, size, ""); err != nil || n != size {
+			t.Fatalf("Put = (%d, %v)", n, err)
+		}
+	}
+	put() // warm: pooled chunk allocated once
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		put()
+	}
+	runtime.ReadMemStats(&after)
+	c.Close()
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if perPut := (after.TotalAlloc - before.TotalAlloc) / runs; perPut >= 4096 {
+		t.Errorf("1 MB Put allocates %d B per call, want < 4096", perPut)
 	}
 }

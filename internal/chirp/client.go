@@ -316,7 +316,16 @@ func (c *Client) Put(path string, r io.Reader, size int64, lotID string) (int64,
 	if _, err := c.readReply(); err != nil {
 		return 0, err
 	}
-	if _, err := io.CopyN(c.bw, r, size); err != nil {
+	// Copy through a pooled chunk, like recvBody. writerOnly hides
+	// bufio.Writer.ReadFrom, which would otherwise hand the copy to
+	// TCPConn.ReadFrom and its fresh 32 KB buffer per call.
+	buf := bufpool.Get(protocol.ChunkSize)
+	n, err := io.CopyBuffer(writerOnly{c.bw}, io.LimitReader(r, size), *buf)
+	bufpool.Put(buf)
+	if err == nil && n < size {
+		err = io.EOF // match io.CopyN: short body is an error
+	}
+	if err != nil {
 		return 0, err
 	}
 	if err := c.bw.Flush(); err != nil {
@@ -331,6 +340,10 @@ func (c *Client) Put(path string, r io.Reader, size int64, lotID string) (int64,
 	}
 	return parseInt(toks[0])
 }
+
+// writerOnly exposes only Write, so io.CopyBuffer uses the buffer it
+// is given.
+type writerOnly struct{ io.Writer }
 
 // PutBytes uploads a byte slice.
 func (c *Client) PutBytes(path string, data []byte, lotID string) error {

@@ -151,6 +151,13 @@ type modeEReceiver struct {
 	streams int // 0 until the EOF block announces the count
 	err     error
 	conns   []net.Conn
+	closed  bool
+
+	// ln is the PASV listener a server-side STOR keeps accepting
+	// streams on. Close shuts it, so a finished transfer does not hold
+	// the listener, its accept goroutine and the reassembly maps until
+	// the accept deadline expires.
+	ln net.Listener
 }
 
 func newModeEReceiver() *modeEReceiver {
@@ -162,9 +169,15 @@ func newModeEReceiver() *modeEReceiver {
 	return r
 }
 
-// attach starts consuming blocks from one data stream.
+// attach starts consuming blocks from one data stream; a stream that
+// arrives after Close is shut at once.
 func (r *modeEReceiver) attach(conn net.Conn) {
 	r.mu.Lock()
+	if r.closed {
+		r.mu.Unlock()
+		conn.Close()
+		return
+	}
 	r.conns = append(r.conns, conn)
 	r.mu.Unlock()
 	go r.readStream(conn)
@@ -399,12 +412,13 @@ func (r *modeEReceiver) recycleBufLocked() {
 	}
 }
 
-// Close tears down all attached streams and recycles any block buffers
-// still pending reassembly.
+// Close stops accepting streams, tears down all attached streams and
+// recycles any block buffers still pending reassembly.
 func (r *modeEReceiver) Close() error {
 	r.mu.Lock()
-	conns := r.conns
-	r.conns = nil
+	conns, ln := r.conns, r.ln
+	r.conns, r.ln = nil, nil
+	r.closed = true
 	if r.err == nil && !r.finishedLocked() {
 		r.err = io.ErrClosedPipe
 	}
@@ -416,6 +430,9 @@ func (r *modeEReceiver) Close() error {
 	}
 	r.cond.Broadcast()
 	r.mu.Unlock()
+	if ln != nil {
+		ln.Close()
+	}
 	for _, c := range conns {
 		c.Close()
 	}

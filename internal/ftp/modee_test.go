@@ -5,9 +5,14 @@ import (
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
+
+	"nest/internal/gsi"
+	"nest/internal/nesttest"
 )
 
 // pipeFanout wires a MODE E sender to a receiver over n in-memory
@@ -289,5 +294,63 @@ func TestModeEBoundSplitting(t *testing.T) {
 	recv.Close()
 	if !bytes.Equal(got, payload) {
 		t.Fatal("bound splitting corrupted data")
+	}
+}
+
+// TestModeEPasvStorReleasesListener pins the PASV STOR teardown: once
+// a W=2 MODE E upload completes, the announced data port refuses new
+// dials and the background accept goroutine is gone, instead of both
+// living until the accept deadline.
+func TestModeEPasvStorReleasesListener(t *testing.T) {
+	f := nesttest.Start(t, NewHandler(Options{AllowAnon: true, EnableModeE: true}), nesttest.Options{})
+	f.GrantLot(t, gsi.Anonymous, 100*nesttest.MB)
+	c, err := Dial(f.Addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Quit()
+	if err := c.LoginAnonymous(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SetMode('E'); err != nil {
+		t.Fatal(err)
+	}
+	baseline := runtime.NumGoroutine()
+
+	addr, err := c.Pasv()
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := make([]net.Conn, 2)
+	for i := range conns {
+		if conns[i], err = net.Dial("tcp", addr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, _, err := c.cmd(150, "STOR /w2.bin"); err != nil {
+		t.Fatal(err)
+	}
+	payload := bytes.Repeat([]byte("stripe"), 40000)
+	sender := newModeESender(conns)
+	if _, err := copyChunked(sender, bytes.NewReader(payload)); err != nil {
+		t.Fatal(err)
+	}
+	if err := sender.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.readComplete(); err != nil {
+		t.Fatal(err)
+	}
+
+	if conn, err := net.DialTimeout("tcp", addr, time.Second); err == nil {
+		conn.Close()
+		t.Fatalf("PASV port %s still accepting after the STOR completed", addr)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			t.Fatalf("goroutines = %d after STOR, want <= baseline %d", runtime.NumGoroutine(), baseline)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -522,11 +522,13 @@ func (s *session) RecvData(req *protocol.Request) (io.ReadCloser, error) {
 	}
 	if s.mode == 'E' {
 		// Streams attach as they arrive; the count is announced by the
-		// EOF block. With PASV we keep accepting in the background.
+		// EOF block. With PASV we keep accepting in the background until
+		// the deadline or the receiver's Close shuts the listener.
 		recv := newModeEReceiver()
 		if s.pasv != nil {
 			ln := s.pasv
 			s.pasv = nil
+			recv.ln = ln
 			go func() {
 				defer ln.Close()
 				var backoff time.Duration

@@ -49,7 +49,7 @@ type LocalStats struct {
 	Preads           int64 // positioned read syscalls issued
 	Pwrites          int64 // positioned write syscalls issued
 	Fsyncs           int64 // fsyncs issued by the sync-on-close knob
-	HandoffChunks    int64 // range fragments moved through mapped pages
+	HandoffChunks    int64 // read fragments handed to the sink from mapped pages
 	PooledChunks     int64 // range fragments staged through pooled buffers
 }
 
@@ -81,13 +81,14 @@ func LocalFSStats() LocalStats {
 //   - Space accounting is an atomic maintained counter with
 //     reserve/rollback semantics, scanned once at mount — Free() is
 //     O(1) and allocation-free instead of walking the tree.
-//   - The extent-handoff capabilities (RangeWriterTo/RangeReaderFrom)
-//     are implemented over a shared page mapping of the file when the
-//     platform supports it: the page cache is the extent store, and
-//     resident page slices are handed to the sink (or filled from the
-//     source) with no staging copy and no per-chunk syscall. Where
-//     mapping is unavailable the same loops stage through pooled
-//     chunk buffers — still zero allocations per chunk.
+//   - The read-side extent handoff (RangeWriterTo) is implemented over
+//     a read-only shared page mapping of the file when the platform
+//     supports it: the page cache is the extent store, and resident
+//     page slices are handed to the sink with no staging copy and no
+//     per-chunk syscall. Where mapping is unavailable the loop stages
+//     through pooled chunk buffers. The write side (RangeReaderFrom)
+//     reads the source into a pooled chunk buffer and lands it with
+//     one pwrite per fragment. Both are zero allocations per chunk.
 //   - Read-only descriptors of closed files are kept in a bounded LRU
 //     cache so repeated GETs of hot files skip open/close syscalls.
 type LocalFS struct {
@@ -125,12 +126,10 @@ type localNode struct {
 	mu   sync.RWMutex
 	size atomic.Int64
 
-	// Page mapping of the file (platform-specific; nil where
-	// unsupported). mapped/mapRW/mapBroken are guarded by mu; mapLen
-	// mirrors len(mapped) atomically for the lock-free fast check in
-	// ensureMapped.
+	// Read-only page mapping of the file (platform-specific; nil where
+	// unsupported). mapped is guarded by mu; mapLen mirrors len(mapped)
+	// atomically for the lock-free fast check in ensureMapped.
 	mapped    []byte
-	mapRW     bool
 	mapBroken atomic.Bool
 	mapLen    atomic.Int64
 
@@ -359,8 +358,7 @@ func (l *LocalFS) OpenRW(name string) (File, error) {
 }
 
 // Stat implements FS. For open files the logical size comes from the
-// node (atomic, never blocked by in-flight data operations, and never
-// exposes a transient handoff pre-extension).
+// node: atomic, and never blocked by in-flight data operations.
 func (l *LocalFS) Stat(name string) (Info, error) {
 	cleaned := Clean(name)
 	info, err := os.Stat(l.resolve(cleaned))
@@ -656,7 +654,7 @@ func (f *localFile) WriteRangeTo(w io.Writer, off, n int64) (int64, error) {
 	if n <= 0 {
 		return 0, nil
 	}
-	f.node.ensureMapped(f.f, f.writable, off+n)
+	f.node.ensureMapped(f.f, off+n)
 	f.node.mu.RLock()
 	defer f.node.mu.RUnlock()
 	size := f.node.size.Load()
@@ -793,15 +791,18 @@ func (f *localFile) writeRangeStaged(w io.Writer, off, n int64) (int64, error) {
 }
 
 // ReadRangeFrom implements RangeReaderFrom with the MemFS contract: it
-// issues r.Read calls directly into the file's pages at
-// [off, off+limit), one extent-aligned fragment at a time, growing the
-// file in place. Capacity is reserved per fragment before the read and
-// the unused remainder released after (a short or failing source never
-// leaves phantom usage); the logical size is published only after the
-// bytes are in place; a short source read returns early with a nil
-// error so the file's write lock is held for at most one fragment per
-// stall. When the page mapping is unavailable the fragment stages
-// through a pooled buffer and lands via pwrite.
+// reads the source into a pooled extent buffer and lands each
+// extent-aligned fragment of [off, off+limit) with one pwrite.
+// Capacity is reserved per fragment before the read and the unused
+// remainder released after (a short or failing source never leaves
+// phantom usage); the logical size is published only after the bytes
+// land; a short source read returns early with a nil error so the
+// file's write lock is held for at most one fragment per stall.
+//
+// Writes never go through the page mapping: a PUT creates a fresh file,
+// and landing it through a writable mapping would cost an ftruncate
+// pair per fragment, a remap per geometric growth step and a page fault
+// per page, where pwrite costs one syscall per fragment.
 func (f *localFile) ReadRangeFrom(r io.Reader, off, limit int64) (int64, error) {
 	if f.closed.Load() {
 		return 0, ErrClosed
@@ -812,15 +813,10 @@ func (f *localFile) ReadRangeFrom(r io.Reader, off, limit int64) (int64, error) 
 	if limit <= 0 {
 		return 0, nil
 	}
+	bp := bufpool.Get(ExtentSize)
+	defer bufpool.Put(bp)
 	f.node.mu.Lock()
 	defer f.node.mu.Unlock()
-	f.node.remapLocked(f.f, true, off+limit)
-	var bp *[]byte
-	defer func() {
-		if bp != nil {
-			bufpool.Put(bp)
-		}
-	}()
 	var moved int64
 	for moved < limit {
 		pos := off + moved
@@ -834,73 +830,38 @@ func (f *localFile) ReadRangeFrom(r io.Reader, off, limit int64) (int64, error) 
 				return moved, err
 			}
 		}
-		var rn int
-		var rerr error
-		if m := f.node.mapped; f.node.mapRW && int64(len(m)) >= fragEnd {
-			// Zero-copy fill: extend the file so the pages are backed,
-			// then read straight into the mapping.
-			if fragEnd > size {
-				if err := f.f.Truncate(fragEnd); err != nil {
-					f.fs.release(fragEnd - size)
-					return moved, mapErr(err)
-				}
-			}
-			rn, rerr = r.Read(m[pos:fragEnd])
-			newEnd := pos + int64(rn)
-			if fragEnd > size {
-				// Settle: keep only the growth covered by bytes read,
-				// shrink the file back over the unread tail.
-				high := newEnd
-				if high < size {
-					high = size
-				}
-				if high < fragEnd {
-					f.f.Truncate(high)
-				}
-				f.fs.release(fragEnd - high)
-				if newEnd > size {
-					f.node.size.Store(newEnd)
-				}
-			}
-			if rn > 0 {
-				statLocalHandoff.Add(1)
-			}
-		} else {
-			if bp == nil {
-				bp = bufpool.Get(ExtentSize)
-			}
-			want := int(fragEnd - pos)
-			rn, rerr = r.Read((*bp)[:want])
-			var wn int
-			var werr error
-			if rn > 0 {
-				statLocalPwrites.Add(1)
-				wn, werr = f.f.WriteAt((*bp)[:rn], pos)
-			}
-			newEnd := pos + int64(wn)
-			if fragEnd > size {
-				high := newEnd
-				if high < size {
-					high = size
-				}
-				f.fs.release(fragEnd - high)
-				if newEnd > size {
-					f.node.size.Store(newEnd)
-				}
-			}
-			if werr != nil {
-				return moved + int64(wn), mapErr(werr)
-			}
-			if wn > 0 {
-				statLocalPooled.Add(1)
-			}
-			rn = wn
+		want := fragEnd - pos
+		rn, rerr := r.Read((*bp)[:want])
+		var wn int
+		var werr error
+		if rn > 0 {
+			statLocalPwrites.Add(1)
+			wn, werr = f.f.WriteAt((*bp)[:rn], pos)
 		}
-		moved += int64(rn)
+		newEnd := pos + int64(wn)
+		if fragEnd > size {
+			// Settle the reservation: keep only the growth covered by
+			// bytes that landed, release the rest.
+			high := newEnd
+			if high < size {
+				high = size
+			}
+			f.fs.release(fragEnd - high)
+			if newEnd > size {
+				f.node.size.Store(newEnd)
+			}
+		}
+		moved += int64(wn)
+		if werr != nil {
+			return moved, mapErr(werr)
+		}
+		if wn > 0 {
+			statLocalPooled.Add(1)
+		}
 		if rerr != nil {
 			return moved, rerr
 		}
-		if pos+int64(rn) < fragEnd {
+		if int64(wn) < want {
 			return moved, nil
 		}
 	}

@@ -21,8 +21,8 @@ import (
 // What the comparison isolates, per 64 KiB chunk of a GET: the seed
 // path pays a pread syscall plus two copies (page cache → staging
 // buffer → sink); the mapped handoff path pays one copy (page cache →
-// sink). PUTs are symmetric: source → staging → pwrite versus source →
-// mapped pages.
+// sink). PUTs land the same way on both: source → pooled staging
+// buffer → pwrite.
 
 // seedLocalFS reproduces the pre-rewrite LocalFS exactly: bare
 // descriptor wrappers with no per-file locking, fstat per Size, and a
@@ -167,10 +167,12 @@ func BenchmarkLocalSequentialRead(b *testing.B) {
 	}
 }
 
-// BenchmarkLocalSequentialWrite rewrites a whole file through the PUT
-// endpoint (OffsetWriter.ReadFrom), steady state: the file is at full
-// size, so no space reservation or extension happens and the numbers
-// isolate the per-chunk landing path.
+// BenchmarkLocalSequentialWrite lands whole files through the PUT
+// endpoint (OffsetWriter.ReadFrom). The rewrite cases keep a full-size
+// file open, so no space reservation or extension happens and the
+// numbers isolate the per-chunk landing path. The fresh case is what a
+// PUT does: Create, land 1 MB, Close, Remove — reservation, file
+// growth and the create/unlink pair included.
 func BenchmarkLocalSequentialWrite(b *testing.B) {
 	for _, impl := range []string{"seed", "extent"} {
 		for _, mbs := range []int64{1, 4, 16} {
@@ -192,6 +194,46 @@ func BenchmarkLocalSequentialWrite(b *testing.B) {
 				}
 			})
 		}
+		b.Run(impl+"/fresh/1MB", func(b *testing.B) {
+			const size = 1 << 20
+			dir := b.TempDir()
+			seed := &seedLocalFS{root: dir, total: 1 << 32}
+			l, err := NewLocalFS(dir, 1<<32)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := make([]byte, size)
+			src := bytes.NewReader(data)
+			b.SetBytes(size)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var f File
+				if impl == "seed" {
+					f, err = seed.Create("/put")
+				} else {
+					f, err = l.Create("/put", "o")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				src.Reset(data)
+				if n, err := NewOffsetWriter(f, 0).ReadFrom(src); err != nil || n != size {
+					b.Fatalf("ReadFrom = (%d, %v)", n, err)
+				}
+				if err := f.Close(); err != nil {
+					b.Fatal(err)
+				}
+				if impl == "seed" {
+					err = os.Remove(seed.resolve("/put"))
+				} else {
+					err = l.Remove("/put")
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -8,21 +8,19 @@ import (
 	"syscall"
 )
 
-// On Linux the LocalFS handoff path maps the file MAP_SHARED and moves
-// bytes through the mapping: the kernel page cache *is* the extent
-// store, reads hand resident page slices straight to the sink, and
-// writes land source bytes directly in the pages the kernel will write
-// back. Compared to the staged path this removes one memcpy and one
-// syscall per 64 KiB chunk — the same two costs the MemFS extent
-// handoff removed from the wire path in PR 5.
+// On Linux the LocalFS read handoff maps the file MAP_SHARED and
+// PROT_READ: the kernel page cache *is* the extent store, and reads
+// hand resident page slices straight to the sink. Compared to the
+// staged path this removes one memcpy and one syscall per 64 KiB chunk
+// — the same two costs the MemFS extent handoff removed from the wire
+// path. Writes land with pwrite (see ReadRangeFrom).
 //
-// MAP_SHARED is coherent with pread/pwrite on the same file, so the
-// mapped and staged paths can interleave freely (a handle whose
-// mapping failed stages through pooled buffers against the same
-// bytes). SIGBUS is impossible by construction: every access through
-// the mapping is clamped to the node's logical size under the file
-// lock, and the write path ftruncate-extends the file before touching
-// new pages.
+// MAP_SHARED is coherent with pread/pwrite on the same file, so mapped
+// reads see pwritten bytes and a handle whose mapping failed stages
+// through pooled buffers against the same bytes. SIGBUS is impossible
+// by construction: every access through the mapping is clamped to the
+// node's logical size under the file lock, and the size is published
+// only after the bytes are in the file.
 
 // maxMapBytes caps a single file mapping; files larger than this fall
 // back to the staged path rather than exhausting address space.
@@ -32,31 +30,21 @@ const maxMapBytes = int64(1) << 40
 // can, taking the file lock only when the mapping must grow. Called
 // lockless from the read path; mapLen mirrors len(mapped) atomically
 // for the fast check.
-func (n *localNode) ensureMapped(f *os.File, writable bool, end int64) {
-	if n.mapLen.Load() >= end || n.mapBroken.Load() {
+//
+// Growth is geometric and extent-rounded so a streaming transfer
+// remaps O(log size) times, and the whole current file is mapped
+// eagerly so readahead hints can run ahead of the transfer. mmap
+// failure (e.g. ENOMEM, or a filesystem without shared mappings) marks
+// the node broken and the handle falls back to staged reads
+// permanently.
+func (n *localNode) ensureMapped(f *os.File, end int64) {
+	if n.mapLen.Load() >= end || n.mapBroken.Load() || end <= 0 {
 		return
 	}
 	n.mu.Lock()
-	n.remapLocked(f, writable, end)
-	n.mu.Unlock()
-}
-
-// remapLocked (re)establishes the mapping to cover [0, end). Caller
-// holds n.mu exclusively. Growth is geometric and extent-rounded so a
-// streaming transfer remaps O(log size) times, and the whole current
-// file is mapped eagerly so readahead hints can run ahead of the
-// transfer. A writable caller gets PROT_WRITE; a read-only caller
-// growing an existing RW mapping cannot (the descriptor lacks write
-// permission), so the mapping downgrades and the next write op remaps
-// RW through its own read-write descriptor. mmap failure (e.g. ENOMEM,
-// or a filesystem without shared mappings) marks the node broken and
-// the handle falls back to staged I/O permanently.
-func (n *localNode) remapLocked(f *os.File, writable bool, end int64) {
-	if n.mapBroken.Load() || end <= 0 {
-		return
-	}
+	defer n.mu.Unlock()
 	cur := int64(len(n.mapped))
-	if cur >= end && (n.mapRW || !writable) {
+	if cur >= end || n.mapBroken.Load() {
 		return
 	}
 	target := end
@@ -67,18 +55,11 @@ func (n *localNode) remapLocked(f *os.File, writable bool, end int64) {
 		target = 2 * cur
 	}
 	target = (target + ExtentSize - 1) / ExtentSize * ExtentSize
-	if target < cur {
-		target = cur
-	}
 	if target > maxMapBytes || target > int64(math.MaxInt) {
 		n.mapBroken.Store(true)
 		return
 	}
-	prot := syscall.PROT_READ
-	if writable {
-		prot |= syscall.PROT_WRITE
-	}
-	m, err := syscall.Mmap(int(f.Fd()), 0, int(target), prot, syscall.MAP_SHARED)
+	m, err := syscall.Mmap(int(f.Fd()), 0, int(target), syscall.PROT_READ, syscall.MAP_SHARED)
 	if err != nil {
 		n.mapBroken.Store(true)
 		return
@@ -87,7 +68,6 @@ func (n *localNode) remapLocked(f *os.File, writable bool, end int64) {
 		syscall.Munmap(n.mapped)
 	}
 	n.mapped = m
-	n.mapRW = writable
 	n.mapLen.Store(int64(len(m)))
 }
 
@@ -99,7 +79,6 @@ func (n *localNode) munmapLocked() {
 	}
 	syscall.Munmap(n.mapped)
 	n.mapped = nil
-	n.mapRW = false
 	n.mapLen.Store(0)
 }
 

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 func newTestLocalFS(t *testing.T, capacity int64) *LocalFS {
@@ -364,6 +365,169 @@ func TestLocalHandoffCounters(t *testing.T) {
 	moved := (s1.HandoffChunks - s0.HandoffChunks) + (s1.PooledChunks - s0.PooledChunks)
 	if moved != 6 { // 3 extents in + 3 extents out
 		t.Fatalf("handoff+pooled fragment count = %d, want 6", moved)
+	}
+}
+
+// chunkReader yields at most n bytes per Read: a source that returns
+// short reads, like a socket.
+type chunkReader struct {
+	r io.Reader
+	n int
+}
+
+func (c *chunkReader) Read(p []byte) (int, error) {
+	if len(p) > c.n {
+		p = p[:c.n]
+	}
+	return c.r.Read(p)
+}
+
+// failingReader hands out data and reports err with the last bytes, so
+// the failure lands in the middle of whichever fragment reads them.
+type failingReader struct {
+	data []byte
+	err  error
+}
+
+func (r *failingReader) Read(p []byte) (int, error) {
+	n := copy(p, r.data)
+	r.data = r.data[n:]
+	if len(r.data) == 0 {
+		return n, r.err
+	}
+	return n, nil
+}
+
+// TestLocalReadRangeFromShortReads pins the early return on a short
+// source read: one fragment call per stall, nil error, the partial
+// bytes landed and accounted, and a pump looping over the calls still
+// assembles the whole stream.
+func TestLocalReadRangeFromShortReads(t *testing.T) {
+	const capacity = 1 << 24
+	l := newTestLocalFS(t, capacity)
+	data := patternData(2*ExtentSize+777, 12)
+	f, _ := l.Create("/short", "u")
+	defer f.Close()
+	rf := f.(RangeReaderFrom)
+
+	src := &chunkReader{r: bytes.NewReader(data), n: 1000}
+	n, err := rf.ReadRangeFrom(src, 0, int64(len(data)))
+	if err != nil || n != 1000 {
+		t.Fatalf("first short read = (%d, %v), want (1000, nil)", n, err)
+	}
+	if got := f.Size(); got != 1000 {
+		t.Fatalf("size after short read = %d, want 1000", got)
+	}
+	if got := l.Free(); got != capacity-1000 {
+		t.Fatalf("Free after short read = %d, want %d", got, capacity-1000)
+	}
+
+	rest, err := NewOffsetWriter(f, 1000).ReadFrom(src)
+	if err != nil || rest != int64(len(data))-1000 {
+		t.Fatalf("pumped rest = (%d, %v)", rest, err)
+	}
+	if !bytes.Equal(readBack(t, f), data) {
+		t.Fatal("short-read assembly mismatch")
+	}
+	if got := l.Free(); got != capacity-int64(len(data)) {
+		t.Fatalf("Free after assembly = %d, want %d", got, capacity-int64(len(data)))
+	}
+}
+
+// TestLocalReadRangeFromSourceError pins the failure contract: a
+// source that fails before or in the middle of a fragment returns its
+// error, the size covers exactly the bytes that landed, and no
+// reservation outlives the call.
+func TestLocalReadRangeFromSourceError(t *testing.T) {
+	const capacity = 1 << 24
+	boom := errors.New("source failed")
+	l := newTestLocalFS(t, capacity)
+	f, _ := l.Create("/fail", "u")
+	defer f.Close()
+	rf := f.(RangeReaderFrom)
+
+	if n, err := rf.ReadRangeFrom(iotest.ErrReader(boom), 0, 3*ExtentSize); n != 0 || err != boom {
+		t.Fatalf("failing source = (%d, %v), want (0, %v)", n, err, boom)
+	}
+	if got := l.Free(); got != capacity {
+		t.Fatalf("Free after failed read = %d, want %d unchanged", got, capacity)
+	}
+	if got := f.Size(); got != 0 {
+		t.Fatalf("size after failed read = %d, want 0", got)
+	}
+
+	data := patternData(ExtentSize+ExtentSize/2, 13)
+	n, err := rf.ReadRangeFrom(&failingReader{data: data, err: boom}, 0, 3*ExtentSize)
+	if n != int64(len(data)) || err != boom {
+		t.Fatalf("mid-fragment failure = (%d, %v), want (%d, %v)", n, err, len(data), boom)
+	}
+	if got := f.Size(); got != int64(len(data)) {
+		t.Fatalf("size after mid-fragment failure = %d, want %d", got, len(data))
+	}
+	if got := l.Free(); got != capacity-int64(len(data)) {
+		t.Fatalf("Free after mid-fragment failure = %d, want %d", got, capacity-int64(len(data)))
+	}
+	if !bytes.Equal(readBack(t, f), data) {
+		t.Fatal("landed bytes mismatch")
+	}
+}
+
+// TestLocalReadRangeFromNoSpace pins admission at a fragment boundary:
+// the fragments that fit land, the next one is refused before its
+// source read, and the file on disk matches the published size.
+func TestLocalReadRangeFromNoSpace(t *testing.T) {
+	const capacity = 2*ExtentSize + 100
+	l := newTestLocalFS(t, capacity)
+	f, _ := l.Create("/full", "u")
+	defer f.Close()
+	data := patternData(3*ExtentSize, 14)
+	src := bytes.NewReader(data)
+
+	n, err := f.(RangeReaderFrom).ReadRangeFrom(src, 0, int64(len(data)))
+	if n != 2*ExtentSize || !errors.Is(err, ErrNoSpace) {
+		t.Fatalf("over-capacity fill = (%d, %v), want (%d, ErrNoSpace)", n, err, 2*ExtentSize)
+	}
+	if got := src.Len(); got != ExtentSize {
+		t.Fatalf("source read past the refused fragment: %d bytes left, want %d", got, ExtentSize)
+	}
+	if got := f.Size(); got != 2*ExtentSize {
+		t.Fatalf("size = %d, want %d", got, 2*ExtentSize)
+	}
+	if got := l.Free(); got != 100 {
+		t.Fatalf("Free = %d, want 100", got)
+	}
+	info, err := os.Stat(l.resolve("/full"))
+	if err != nil || info.Size() != 2*ExtentSize {
+		t.Fatalf("on-disk size = %v (%v), want %d", info.Size(), err, 2*ExtentSize)
+	}
+	if !bytes.Equal(readBack(t, f), data[:2*ExtentSize]) {
+		t.Fatal("landed prefix mismatch")
+	}
+}
+
+// TestLocalReadRangeFromZeroAlloc pins the steady-state claim for the
+// PUT landing path: growing a file fragment by fragment through the
+// pooled buffer allocates nothing.
+func TestLocalReadRangeFromZeroAlloc(t *testing.T) {
+	l := newTestLocalFS(t, 1<<24)
+	f, _ := l.Create("/f", "u")
+	defer f.Close()
+	rf := f.(RangeReaderFrom)
+	data := patternData(4*ExtentSize, 15)
+	src := bytes.NewReader(data)
+
+	fill := func() {
+		if err := f.Truncate(0); err != nil {
+			t.Fatal(err)
+		}
+		src.Reset(data)
+		if n, err := rf.ReadRangeFrom(src, 0, int64(len(data))); err != nil || n != int64(len(data)) {
+			t.Fatalf("ReadRangeFrom = (%d, %v)", n, err)
+		}
+	}
+	fill() // warm: pooled buffer allocated once
+	if allocs := testing.AllocsPerRun(50, fill); allocs >= 1 {
+		t.Errorf("ReadRangeFrom allocates %v per 4-extent fill, want 0", allocs)
 	}
 }
 
