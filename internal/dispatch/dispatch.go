@@ -95,8 +95,8 @@ type Dispatcher struct {
 	ring     *obs.Ring      // sampled recent requests
 	slowRing *obs.Ring      // requests over the slow threshold
 	slowNs   atomic.Int64
-	heat     *obs.HeatMap   // per-file GET demand, feeds replication
-	tracer   *obs.Tracer    // distributed span recording
+	heat     *obs.HeatMap // per-file GET demand, feeds replication
+	tracer   *obs.Tracer  // distributed span recording
 
 	// Advertisement bandwidth window: per-protocol byte counts at the
 	// previous Advertisement call (under mu).

@@ -13,6 +13,8 @@ import (
 	"nest/internal/gsi"
 	"nest/internal/httpx"
 	"nest/internal/nesttest"
+	"nest/internal/nfs"
+	"nest/internal/protocol"
 )
 
 // benchPayload is what one GET moves over loopback TCP per op: large
@@ -142,4 +144,43 @@ func BenchmarkProtocolThroughput(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkNFSRead64K measures the paper's block-based access pattern
+// over loopback: one op is a LOOKUP plus eight 8 KB READ RPCs of a
+// 64 KB file, client and server in one process, so the reported
+// allocations cover both sides of the READ path.
+func BenchmarkNFSRead64K(b *testing.B) {
+	const size = 64 << 10
+	f := nesttest.Start(b, nfs.NewHandler(), nesttest.Options{NoLots: true})
+	c, err := nfs.Dial(f.Addr)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer c.Close()
+	root, err := c.Mount("/")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fh, err := c.Create(root, "bench")
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.WriteAll(fh, payload()[:size]); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(size)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h, _, err := c.Lookup(root, "bench")
+		if err != nil {
+			b.Fatal(err)
+		}
+		for off := uint32(0); off < size; off += protocol.NFSBlockSize {
+			if block, err := c.Read(h, off, protocol.NFSBlockSize); err != nil || len(block) != protocol.NFSBlockSize {
+				b.Fatalf("Read at %d = (%d, %v)", off, len(block), err)
+			}
+		}
+	}
 }

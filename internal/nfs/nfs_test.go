@@ -3,11 +3,13 @@ package nfs_test
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"testing"
 
 	"nest/internal/gsi"
 	"nest/internal/nesttest"
 	"nest/internal/nfs"
+	"nest/internal/protocol"
 )
 
 func start(t *testing.T) (*nesttest.Fixture, *nfs.Client, nfs.FH) {
@@ -297,5 +299,94 @@ func TestConcurrentNFSClients(t *testing.T) {
 		if err := <-errs; err != nil {
 			t.Fatal(err)
 		}
+	}
+}
+
+// TestReadPaddingAndEOF reads blocks whose lengths need XDR padding
+// (3 and 8190 bytes) and reads at and past EOF, which return no data.
+func TestReadPaddingAndEOF(t *testing.T) {
+	_, c, root := start(t)
+	for _, size := range []int{3, 8190} {
+		fh, err := c.Create(root, fmt.Sprintf("pad%d", size))
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload := make([]byte, size)
+		for i := range payload {
+			payload[i] = byte(i*7 + 1)
+		}
+		if err := c.WriteAll(fh, payload); err != nil {
+			t.Fatal(err)
+		}
+		got, err := c.Read(fh, 0, protocol.NFSBlockSize)
+		if err != nil || !bytes.Equal(got, payload) {
+			t.Fatalf("size %d: Read = %d bytes, %v", size, len(got), err)
+		}
+		for _, off := range []uint32{uint32(size), uint32(size) + 100} {
+			got, err := c.Read(fh, off, protocol.NFSBlockSize)
+			if err != nil || len(got) != 0 {
+				t.Errorf("size %d: Read at %d = %d bytes, %v; want 0", size, off, len(got), err)
+			}
+		}
+	}
+}
+
+// TestReadReturnsCallerOwnedBlocks checks that blocks returned by
+// successive Reads stay intact: each is the caller's, not a view of a
+// buffer the client reuses.
+func TestReadReturnsCallerOwnedBlocks(t *testing.T) {
+	_, c, root := start(t)
+	fh, _ := c.Create(root, "owned")
+	payload := bytes.Repeat([]byte("0123456789abcdef"), 2*protocol.NFSBlockSize/16)
+	if err := c.WriteAll(fh, payload); err != nil {
+		t.Fatal(err)
+	}
+	first, err1 := c.Read(fh, 0, protocol.NFSBlockSize)
+	second, err2 := c.Read(fh, protocol.NFSBlockSize, protocol.NFSBlockSize)
+	if err1 != nil || err2 != nil {
+		t.Fatal(err1, err2)
+	}
+	first = append(first, "tail"...) // must not run into the next record
+	if !bytes.Equal(first[:protocol.NFSBlockSize], payload[:protocol.NFSBlockSize]) ||
+		!bytes.Equal(second, payload[protocol.NFSBlockSize:]) {
+		t.Error("blocks changed after a later Read")
+	}
+}
+
+// TestRead64KAllocs guards the one-copy READ path: a loopback LOOKUP
+// plus eight 8 KB READs of a 64 KB file, client and server together,
+// allocates well under twice the payload (about 7x before the block
+// was staged in a pooled buffer and decoded in place).
+func TestRead64KAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops buffers under -race")
+	}
+	const size = 64 << 10
+	_, c, root := start(t)
+	fh, _ := c.Create(root, "guard")
+	if err := c.WriteAll(fh, make([]byte, size)); err != nil {
+		t.Fatal(err)
+	}
+	read := func() {
+		h, _, err := c.Lookup(root, "guard")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := uint32(0); off < size; off += protocol.NFSBlockSize {
+			if b, err := c.Read(h, off, protocol.NFSBlockSize); err != nil || len(b) != protocol.NFSBlockSize {
+				t.Fatalf("Read at %d = %d bytes, %v", off, len(b), err)
+			}
+		}
+	}
+	read() // warm the pools
+	const files = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < files; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	if perFile := (after.TotalAlloc - before.TotalAlloc) / files; perFile >= 128<<10 {
+		t.Errorf("64 KB NFS read allocates %d KB per file, want < 128 KB", perFile>>10)
 	}
 }

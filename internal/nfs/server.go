@@ -2,12 +2,14 @@ package nfs
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"path"
 	"time"
 
+	"nest/internal/bufpool"
 	"nest/internal/gsi"
 	"nest/internal/protocol"
 	"nest/internal/storage"
@@ -35,19 +37,38 @@ func (h *Handler) NewSession(conn net.Conn) (protocol.Session, error) {
 }
 
 // rpcState is the per-call context threaded through Request.Handle.
+// On READ it is also the SendData sink: the block is staged in a
+// pooled buffer that Reply sends and returns.
 type rpcState struct {
 	xid   uint32
 	prog  uint32
 	proc  uint32
 	path  string
-	data  []byte        // WRITE payload
-	buf   *bytes.Buffer // READ staging
-	count int64         // READDIR cookie (starting index)
+	data  []byte  // WRITE payload (aliases the call record), or staged READ bytes
+	block *[]byte // pooled READ staging buffer, owned until Reply
+	count int64   // READDIR cookie (starting index)
 }
+
+// errBlockOverflow refuses READ data beyond one NFS block.
+var errBlockOverflow = errors.New("nfs: read data exceeds the block size")
+
+// Write stages READ data into the pooled block. It never grows the
+// block: a write that would overflow it fails whole.
+func (st *rpcState) Write(p []byte) (int, error) {
+	if len(p) > cap(st.data)-len(st.data) {
+		return 0, errBlockOverflow
+	}
+	st.data = append(st.data, p...)
+	return len(p), nil
+}
+
+// Close implements io.Closer; Reply frames and sends the block.
+func (st *rpcState) Close() error { return nil }
 
 type session struct {
 	conn net.Conn
 	fhs  *fhTable
+	enc  xdr.Encoder // reply scratch: calls on a session run one at a time
 }
 
 // Proto implements protocol.Session.
@@ -61,6 +82,21 @@ func (s *session) Close() error { return s.conn.Close() }
 
 func (s *session) writeRecord(rec []byte) error {
 	return xdr.WriteRecord(s.conn, rec)
+}
+
+// successHeader resets the session's reply encoder and opens an
+// accepted, successful reply to xid in it.
+func (s *session) successHeader(xid uint32) *xdr.Encoder {
+	s.enc.Reset()
+	sunrpc.AppendSuccessHeader(&s.enc, xid)
+	return &s.enc
+}
+
+// statusReply builds a status-only NFS result record.
+func (s *session) statusReply(xid uint32, status uint32) []byte {
+	e := s.successHeader(xid)
+	e.Uint32(status)
+	return e.Bytes()
 }
 
 // Next implements protocol.Session: read RPC calls until one maps to a
@@ -108,16 +144,16 @@ func (s *session) translate(call *sunrpc.Call) (*protocol.Request, []byte, error
 		}
 		switch call.Proc {
 		case MountNull, MountUmnt:
-			return nil, sunrpc.SuccessReply(call.XID, nil), nil
+			return nil, s.successHeader(call.XID).Bytes(), nil
 		case MountExport:
-			e := xdr.NewEncoder()
+			e := s.successHeader(call.XID)
 			e.Bool(true) // one export
 			e.String("/")
 			e.Bool(true) // one group
 			e.String("*")
 			e.Bool(false) // end groups
 			e.Bool(false) // end exports
-			return nil, sunrpc.SuccessReply(call.XID, e.Bytes()), nil
+			return nil, e.Bytes(), nil
 		case MountMnt:
 			dir, err := call.Args.String(1024)
 			if err != nil {
@@ -146,7 +182,7 @@ func (s *session) translateNFS(call *sunrpc.Call, st *rpcState, req *protocol.Re
 		}
 		p, ok := s.fhs.pathFor(FH(raw))
 		if !ok {
-			return "", statusReply(call.XID, ErrStale)
+			return "", s.statusReply(call.XID, ErrStale)
 		}
 		return p, nil
 	}
@@ -159,7 +195,7 @@ func (s *session) translateNFS(call *sunrpc.Call, st *rpcState, req *protocol.Re
 	}
 	switch call.Proc {
 	case ProcNull:
-		return nil, sunrpc.SuccessReply(call.XID, nil), nil
+		return nil, s.successHeader(call.XID).Bytes(), nil
 	case ProcGetattr, ProcSetattr:
 		p, inline := readFH()
 		if inline != nil {
@@ -263,7 +299,7 @@ func (s *session) translateNFS(call *sunrpc.Call, st *rpcState, req *protocol.Re
 		return req, nil, nil
 	case ProcRename:
 		// Not part of the NeST subset.
-		return nil, statusReply(call.XID, ErrAcces), nil
+		return nil, s.statusReply(call.XID, ErrAcces), nil
 	case ProcReaddir:
 		p, inline := readFH()
 		if inline != nil {
@@ -287,13 +323,6 @@ func (s *session) translateNFS(call *sunrpc.Call, st *rpcState, req *protocol.Re
 		return req, nil, nil
 	}
 	return nil, sunrpc.ProcUnavailReply(call.XID), nil
-}
-
-// statusReply builds a status-only NFS result record.
-func statusReply(xid uint32, status uint32) []byte {
-	e := xdr.NewEncoder()
-	e.Uint32(status)
-	return sunrpc.SuccessReply(xid, e.Bytes())
 }
 
 // encodeFattr writes an RFC 1094 fattr for the given file info.
@@ -324,20 +353,24 @@ func encodeFattr(e *xdr.Encoder, p string, size int64, isDir bool, mod time.Dura
 	e.Uint32(usec) // ctime
 }
 
-// Reply implements protocol.Session: encode the proc-appropriate RPC
-// result.
+// Reply implements protocol.Session: encode the RPC reply header and
+// the proc-appropriate result into one encoder. A READ block goes out
+// behind them in the same vectored write, then returns to the pool.
 func (s *session) Reply(req *protocol.Request, rep *protocol.Reply) error {
 	st, ok := req.Handle.(*rpcState)
 	if !ok {
 		return fmt.Errorf("nfs: reply without rpc state")
 	}
+	if st.block != nil {
+		defer bufpool.Put(st.block)
+	}
 	if st.prog == MountProgram {
 		return s.replyMount(st, rep)
 	}
 	if !rep.OK() {
-		return s.writeRecord(statusReply(st.xid, codeToStatus(rep.Code)))
+		return s.writeRecord(s.statusReply(st.xid, codeToStatus(rep.Code)))
 	}
-	e := xdr.NewEncoder()
+	e := s.successHeader(st.xid)
 	e.Uint32(OK)
 	switch st.proc {
 	case ProcGetattr, ProcSetattr:
@@ -347,13 +380,10 @@ func (s *session) Reply(req *protocol.Request, rep *protocol.Reply) error {
 		e.FixedOpaque(fh[:])
 		encodeFattr(e, st.path, rep.Info.Size, rep.Info.IsDir, rep.Info.ModTime)
 	case ProcRead:
-		var data []byte
-		if st.buf != nil {
-			data = st.buf.Bytes()
-		}
-		size := req.Offset + int64(len(data)) // best-effort post-read size
+		size := req.Offset + int64(len(st.data)) // best-effort post-read size
 		encodeFattr(e, st.path, size, false, 0)
-		e.Opaque(data)
+		e.Uint32(uint32(len(st.data)))
+		return xdr.WriteRecordParts(s.conn, e.Bytes(), st.data)
 	case ProcWrite:
 		size := req.Offset + req.Size
 		encodeFattr(e, st.path, size, false, 0)
@@ -393,36 +423,31 @@ func (s *session) Reply(req *protocol.Request, rep *protocol.Reply) error {
 	default:
 		return s.writeRecord(sunrpc.ProcUnavailReply(st.xid))
 	}
-	return s.writeRecord(sunrpc.SuccessReply(st.xid, e.Bytes()))
+	return s.writeRecord(e.Bytes())
 }
 
 func (s *session) replyMount(st *rpcState, rep *protocol.Reply) error {
-	e := xdr.NewEncoder()
 	if !rep.OK() {
-		e.Uint32(codeToStatus(rep.Code))
-		return s.writeRecord(sunrpc.SuccessReply(st.xid, e.Bytes()))
+		return s.writeRecord(s.statusReply(st.xid, codeToStatus(rep.Code)))
 	}
 	if rep.Info != nil && !rep.Info.IsDir {
-		e.Uint32(ErrNotDir)
-		return s.writeRecord(sunrpc.SuccessReply(st.xid, e.Bytes()))
+		return s.writeRecord(s.statusReply(st.xid, ErrNotDir))
 	}
 	fh := s.fhs.handleFor(st.path)
+	e := s.successHeader(st.xid)
 	e.Uint32(OK)
 	e.FixedOpaque(fh[:])
-	return s.writeRecord(sunrpc.SuccessReply(st.xid, e.Bytes()))
+	return s.writeRecord(e.Bytes())
 }
 
-// SendData implements protocol.Session: READ data is staged in memory
-// (a block is at most 8 KB) and framed into the RPC reply by Reply.
+// SendData implements protocol.Session: the READ block (at most 8 KB,
+// the count is capped in translate) is staged in a pooled buffer and
+// framed into the RPC reply by Reply, which returns the buffer.
 func (s *session) SendData(req *protocol.Request, size int64) (io.WriteCloser, error) {
 	st := req.Handle.(*rpcState)
-	st.buf = &bytes.Buffer{}
-	if size > 0 {
-		// Pre-size the staging buffer so zero-copy extent chunks land in
-		// one write without intermediate growth copies.
-		st.buf.Grow(int(size))
-	}
-	return protocol.NopWriteCloser(st.buf), nil
+	st.block = bufpool.Get(protocol.NFSBlockSize)
+	st.data = (*st.block)[:0]
+	return st, nil
 }
 
 // RecvData implements protocol.Session: WRITE payloads were already

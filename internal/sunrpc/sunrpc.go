@@ -9,7 +9,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"nest/internal/xdr"
 )
@@ -42,7 +41,9 @@ const (
 	AuthUnix = 1
 )
 
-// MaxRecord bounds a single RPC record (64 KB payload + headers).
+// MaxRecord bounds a single RPC record (1 MB). NFS v2 records are far
+// smaller — one 8 KB block plus headers — so this only caps what a
+// broken or hostile peer can make the reader allocate.
 const MaxRecord = 1 << 20
 
 // Errors returned by the client for non-success accept states.
@@ -70,86 +71,6 @@ type Call struct {
 	Proc uint32
 	Cred Cred
 	Args *xdr.Decoder
-}
-
-// Handler executes one procedure, encoding results into reply.
-// Returning an error produces a SYSTEM_ERR accept status.
-type Handler func(call *Call, reply *xdr.Encoder) error
-
-// Server dispatches RPC calls to registered program handlers.
-type Server struct {
-	mu       sync.Mutex
-	programs map[progVers]Handler
-	ln       net.Listener
-	closed   atomic.Bool
-	wg       sync.WaitGroup
-}
-
-type progVers struct {
-	prog, vers uint32
-}
-
-// NewServer returns a server with no registered programs.
-func NewServer() *Server {
-	return &Server{programs: make(map[progVers]Handler)}
-}
-
-// Register installs handler for (program, version).
-func (s *Server) Register(prog, vers uint32, handler Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.programs[progVers{prog, vers}] = handler
-}
-
-// Serve accepts connections on ln until Close. Each connection is
-// served by its own goroutine; calls on one connection execute
-// sequentially in arrival order.
-func (s *Server) Serve(ln net.Listener) {
-	s.mu.Lock()
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			defer conn.Close()
-			s.serveConn(conn)
-		}()
-	}
-}
-
-// Close stops accepting and waits for in-flight connections.
-func (s *Server) Close() {
-	if s.closed.Swap(true) {
-		return
-	}
-	s.mu.Lock()
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.wg.Wait()
-}
-
-func (s *Server) serveConn(conn net.Conn) {
-	for {
-		rec, err := xdr.ReadRecord(conn, MaxRecord)
-		if err != nil {
-			return
-		}
-		resp, err := s.dispatch(rec)
-		if err != nil {
-			return
-		}
-		if err := xdr.WriteRecord(conn, resp); err != nil {
-			return
-		}
-	}
 }
 
 // ParseCall decodes one RPC call record. A nil call with a non-nil
@@ -197,53 +118,21 @@ func ParseCall(rec []byte) (call *Call, rejection []byte, err error) {
 	return &Call{XID: xid, Prog: prog, Vers: vers, Proc: proc, Cred: cred, Args: d}, nil, nil
 }
 
-// Reply-record builders for servers that drive RPC records directly
-// (NeST's NFS protocol handler).
+// Reply builders for servers that drive RPC records directly (NeST's
+// NFS protocol handler).
 
-// SuccessReply frames results as an accepted, successful reply.
-func SuccessReply(xid uint32, results []byte) []byte {
-	return accepted(xid, acceptSuccess, results)
-}
+// AppendSuccessHeader encodes the header of an accepted, successful
+// reply into e; the procedure's results follow in the same encoder.
+func AppendSuccessHeader(e *xdr.Encoder, xid uint32) { appendAccepted(e, xid, acceptSuccess) }
 
 // ProgUnavailReply frames a PROG_UNAVAIL rejection.
-func ProgUnavailReply(xid uint32) []byte { return accepted(xid, acceptProgUnavail, nil) }
+func ProgUnavailReply(xid uint32) []byte { return accepted(xid, acceptProgUnavail) }
 
 // ProcUnavailReply frames a PROC_UNAVAIL rejection.
-func ProcUnavailReply(xid uint32) []byte { return accepted(xid, acceptProcUnavail, nil) }
+func ProcUnavailReply(xid uint32) []byte { return accepted(xid, acceptProcUnavail) }
 
 // GarbageArgsReply frames a GARBAGE_ARGS rejection.
-func GarbageArgsReply(xid uint32) []byte { return accepted(xid, acceptGarbageArgs, nil) }
-
-// SystemErrReply frames a SYSTEM_ERR rejection.
-func SystemErrReply(xid uint32) []byte { return accepted(xid, acceptSystemErr, nil) }
-
-// dispatch decodes one call record and produces the reply record.
-func (s *Server) dispatch(rec []byte) ([]byte, error) {
-	call, rejection, err := ParseCall(rec)
-	if err != nil {
-		return nil, err
-	}
-	if rejection != nil {
-		return rejection, nil
-	}
-	s.mu.Lock()
-	handler, ok := s.programs[progVers{call.Prog, call.Vers}]
-	s.mu.Unlock()
-	if !ok {
-		return ProgUnavailReply(call.XID), nil
-	}
-	reply := xdr.NewEncoder()
-	if err := handler(call, reply); err != nil {
-		if errors.Is(err, ErrProcUnavail) {
-			return ProcUnavailReply(call.XID), nil
-		}
-		if errors.Is(err, ErrGarbageArgs) {
-			return GarbageArgsReply(call.XID), nil
-		}
-		return SystemErrReply(call.XID), nil
-	}
-	return SuccessReply(call.XID, reply.Bytes()), nil
-}
+func GarbageArgsReply(xid uint32) []byte { return accepted(xid, acceptGarbageArgs) }
 
 // decodeAuth reads the credential (flavor + opaque body). The verifier
 // is left for the caller.
@@ -277,25 +166,25 @@ func decodeAuth(d *xdr.Decoder) (Cred, error) {
 	return c, nil
 }
 
-func replyHeader(xid uint32) *xdr.Encoder {
-	e := xdr.NewEncoder()
+func appendAccepted(e *xdr.Encoder, xid, stat uint32) {
 	e.Uint32(xid)
 	e.Uint32(msgReply)
-	return e
-}
-
-func accepted(xid uint32, stat uint32, results []byte) []byte {
-	e := replyHeader(xid)
 	e.Uint32(replyAccepted)
 	e.Uint32(AuthNull) // verifier flavor
 	e.Uint32(0)        // verifier length
 	e.Uint32(stat)
-	e.FixedOpaque(results)
+}
+
+func accepted(xid, stat uint32) []byte {
+	e := xdr.NewEncoder()
+	appendAccepted(e, xid, stat)
 	return e.Bytes()
 }
 
 func denied(xid uint32) []byte {
-	e := replyHeader(xid)
+	e := xdr.NewEncoder()
+	e.Uint32(xid)
+	e.Uint32(msgReply)
 	e.Uint32(replyDenied)
 	e.Uint32(0) // RPC_MISMATCH
 	e.Uint32(2) // low
@@ -309,7 +198,8 @@ type Client struct {
 	mu   sync.Mutex
 	conn io.ReadWriteCloser
 	xid  uint32
-	Cred Cred // credentials attached to every call
+	hdr  xdr.Encoder // call header scratch, reused under mu
+	Cred Cred        // credentials attached to every call
 }
 
 // NewClient wraps an established connection.
@@ -330,12 +220,15 @@ func Dial(addr string) (*Client, error) {
 func (c *Client) Close() error { return c.conn.Close() }
 
 // Call invokes (prog, vers, proc) with encoded args and returns a
-// decoder over the results.
+// decoder over the results. The header goes out in front of args in
+// one vectored write, so args are never copied. The decoder reads a
+// record of its own, so byte slices it returns belong to the caller.
 func (c *Client) Call(prog, vers, proc uint32, args []byte) (*xdr.Decoder, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.xid++
-	e := xdr.NewEncoder()
+	e := &c.hdr
+	e.Reset()
 	e.Uint32(c.xid)
 	e.Uint32(msgCall)
 	e.Uint32(2) // RPC version
@@ -345,8 +238,7 @@ func (c *Client) Call(prog, vers, proc uint32, args []byte) (*xdr.Decoder, error
 	encodeAuth(e, c.Cred)
 	e.Uint32(AuthNull) // verifier
 	e.Uint32(0)
-	e.FixedOpaque(args)
-	if err := xdr.WriteRecord(c.conn, e.Bytes()); err != nil {
+	if err := xdr.WriteRecordParts(c.conn, e.Bytes(), args); err != nil {
 		return nil, err
 	}
 	rec, err := xdr.ReadRecord(c.conn, MaxRecord)
@@ -398,13 +290,13 @@ func encodeAuth(e *xdr.Encoder, c Cred) {
 	e.Uint32(c.Flavor)
 	switch c.Flavor {
 	case AuthUnix:
-		body := xdr.NewEncoder()
-		body.Uint32(0) // stamp
-		body.String(c.Machine)
-		body.Uint32(c.UID)
-		body.Uint32(c.GID)
-		body.Uint32(0) // no auxiliary gids
-		e.Opaque(body.Bytes())
+		// Body length: stamp, machine name (padded), uid, gid, gids.
+		e.Uint32(uint32(20 + (len(c.Machine)+3)&^3))
+		e.Uint32(0) // stamp
+		e.String(c.Machine)
+		e.Uint32(c.UID)
+		e.Uint32(c.GID)
+		e.Uint32(0) // no auxiliary gids
 	default:
 		e.Uint32(0) // empty body
 	}

@@ -158,8 +158,9 @@ func TestBackendEquivalenceCancellation(t *testing.T) {
 // TestBackendEquivalenceTruncationRace runs the reader-vs-truncator
 // race against each store: the invariants (clean end or
 // ErrUnexpectedEOF; charges never exceed delivery) must hold over the
-// disk store's mmap/ftruncate discipline exactly as over MemFS extent
-// recycling, and the race detector gets both lock disciplines.
+// disk store's read-only mapping, clamped to the logical size under
+// the file lock, exactly as over MemFS extent recycling, and the race
+// detector gets both lock disciplines.
 func TestBackendEquivalenceTruncationRace(t *testing.T) {
 	const size = 32 * 64 * 1024
 	for name, fs := range eqBackends(t) {

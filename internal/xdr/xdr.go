@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 )
 
 // ErrShortBuffer reports a decode past the end of input.
@@ -27,6 +28,9 @@ func (e *Encoder) Bytes() []byte { return e.buf }
 
 // Len returns the number of encoded bytes.
 func (e *Encoder) Len() int { return len(e.buf) }
+
+// Reset empties the encoder, keeping its buffer for reuse.
+func (e *Encoder) Reset() { e.buf = e.buf[:0] }
 
 // Uint32 encodes a 32-bit unsigned integer.
 func (e *Encoder) Uint32(v uint32) {
@@ -133,7 +137,10 @@ func (d *Decoder) Bool() (bool, error) {
 	return false, fmt.Errorf("xdr: invalid boolean %d", v)
 }
 
-// FixedOpaque decodes n bytes plus padding.
+// FixedOpaque decodes n bytes plus padding. The result aliases the
+// decoder's buffer (capacity clipped, so appending to it reallocates
+// rather than overwrite the next field): callers that outlive the
+// buffer, or reuse it, must copy.
 func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("xdr: negative opaque length %d", n)
@@ -142,14 +149,14 @@ func (d *Decoder) FixedOpaque(n int) ([]byte, error) {
 	if d.Remaining() < padded {
 		return nil, ErrShortBuffer
 	}
-	p := make([]byte, n)
-	copy(p, d.buf[d.off:d.off+n])
+	p := d.buf[d.off : d.off+n : d.off+n]
 	d.off += padded
 	return p, nil
 }
 
 // Opaque decodes a length-prefixed byte sequence, enforcing maxLen
-// (use 0 for no limit).
+// (use 0 for no limit). Like FixedOpaque, the result aliases the
+// decoder's buffer.
 func (d *Decoder) Opaque(maxLen int) ([]byte, error) {
 	n, err := d.Uint32()
 	if err != nil {
@@ -172,7 +179,9 @@ func (d *Decoder) String(maxLen int) (string, error) {
 
 // ReadRecord reads one RPC record-marking frame from r: a 4-byte
 // header whose top bit flags the final fragment and whose low 31 bits
-// give the fragment length. Fragments are concatenated.
+// give the fragment length. Each fragment is read straight into the
+// record, so a single-fragment record (the common case) costs one
+// allocation of its own size and no copy; further fragments grow it.
 func ReadRecord(r io.Reader, maxSize int) ([]byte, error) {
 	var rec []byte
 	for {
@@ -186,11 +195,11 @@ func ReadRecord(r io.Reader, maxSize int) ([]byte, error) {
 		if maxSize > 0 && len(rec)+n > maxSize {
 			return nil, fmt.Errorf("xdr: record exceeds %d bytes", maxSize)
 		}
-		frag := make([]byte, n)
-		if _, err := io.ReadFull(r, frag); err != nil {
+		off := len(rec)
+		rec = slices.Grow(rec, n)[:off+n]
+		if _, err := io.ReadFull(r, rec[off:]); err != nil {
 			return nil, err
 		}
-		rec = append(rec, frag...)
 		if last {
 			return rec, nil
 		}
@@ -198,15 +207,28 @@ func ReadRecord(r io.Reader, maxSize int) ([]byte, error) {
 }
 
 // WriteRecord writes p to w as a single final record-marking fragment.
-// Marker and payload go out as one vectored write (writev when w is a
-// TCP connection), so the record never crosses the wire in two
-// segments nor gets concatenated in user space.
-func WriteRecord(w io.Writer, p []byte) error {
+func WriteRecord(w io.Writer, p []byte) error { return WriteRecordParts(w, p, nil) }
+
+// zeroPad supplies the XDR padding after an unaligned body.
+var zeroPad [3]byte
+
+// WriteRecordParts writes head, then body padded with zeros to a
+// 4-byte boundary, as one final record-marking fragment. Marker, head,
+// body and padding go out as one vectored write (writev when w is a
+// TCP connection), so a large body — an NFS READ block, a call's
+// arguments — is never copied behind its header in user space, and
+// the record never crosses the wire in pieces.
+func WriteRecordParts(w io.Writer, head, body []byte) error {
+	pad := -len(body) & 3
 	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(p))|0x80000000)
-	bufs := net.Buffers{hdr[:], p}
+	binary.BigEndian.PutUint32(hdr[:], uint32(len(head)+len(body)+pad)|0x80000000)
+	want := int64(len(hdr) + len(head) + len(body) + pad)
+	// Empty parts are dropped: on a writer without writev each part is
+	// one Write, and a zero-length Write blocks on some (net.Pipe).
+	bufs := slices.DeleteFunc(net.Buffers{hdr[:], head, body, zeroPad[:pad]},
+		func(b []byte) bool { return len(b) == 0 })
 	n, err := bufs.WriteTo(w)
-	if err == nil && n < int64(len(hdr)+len(p)) {
+	if err == nil && n < want {
 		return io.ErrShortWrite
 	}
 	return err

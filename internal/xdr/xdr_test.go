@@ -2,6 +2,7 @@ package xdr
 
 import (
 	"bytes"
+	"encoding/binary"
 	"testing"
 	"testing/quick"
 )
@@ -151,5 +152,92 @@ func TestQuickOpaqueRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// fragmented frames rec as record-marking fragments of at most size
+// bytes each, the last one flagged final.
+func fragmented(rec []byte, size int) []byte {
+	var out []byte
+	for {
+		n := min(size, len(rec))
+		h := uint32(n)
+		if n == len(rec) {
+			h |= 0x80000000
+		}
+		out = binary.BigEndian.AppendUint32(out, h)
+		out = append(out, rec[:n]...)
+		rec = rec[n:]
+		if len(rec) == 0 {
+			return out
+		}
+	}
+}
+
+func TestRecordSingleAndMultiFragmentDecodeAlike(t *testing.T) {
+	e := NewEncoder()
+	e.Uint32(7)
+	e.Opaque([]byte("first field, unaligned"))
+	e.String("second")
+	e.Uint64(1 << 40)
+	rec := e.Bytes()
+	for _, size := range []int{len(rec), 5, 1} {
+		got, err := ReadRecord(bytes.NewReader(fragmented(rec, size)), 0)
+		if err != nil || !bytes.Equal(got, rec) {
+			t.Fatalf("fragments of %d: ReadRecord = %x, %v; want %x", size, got, err, rec)
+		}
+		d := NewDecoder(got)
+		v, _ := d.Uint32()
+		p, _ := d.Opaque(0)
+		s, _ := d.String(0)
+		h, err := d.Uint64()
+		if err != nil || v != 7 || string(p) != "first field, unaligned" || s != "second" || h != 1<<40 {
+			t.Errorf("fragments of %d: decoded %d %q %q %d, %v", size, v, p, s, h, err)
+		}
+	}
+}
+
+func TestWriteRecordPartsPadsBody(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteRecordParts(&buf, []byte{0, 0, 0, 3}, []byte("abc")); err != nil {
+		t.Fatal(err)
+	}
+	want := fragmented([]byte{0, 0, 0, 3, 'a', 'b', 'c', 0}, 1<<20)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("wire = %x, want %x", buf.Bytes(), want)
+	}
+	got, err := ReadRecord(&buf, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, err := NewDecoder(got).Opaque(0); err != nil || string(p) != "abc" {
+		t.Errorf("Opaque = %q, %v", p, err)
+	}
+}
+
+func TestFixedOpaqueAliasesRecord(t *testing.T) {
+	e := NewEncoder()
+	e.Opaque([]byte("ab")) // padded to 4 bytes
+	e.Uint32(0x01020304)
+	rec := e.Bytes()
+	d := NewDecoder(rec)
+	p, err := d.Opaque(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &p[0] != &rec[4] {
+		t.Error("Opaque copied instead of returning a sub-slice of the record")
+	}
+	if cap(p) != len(p) {
+		t.Errorf("cap = %d, want clipped to len %d", cap(p), len(p))
+	}
+	// Appending must reallocate, leaving the padding and the next field
+	// untouched.
+	p = append(p, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff)
+	if v, err := d.Uint32(); err != nil || v != 0x01020304 {
+		t.Errorf("next field = %#x, %v after append to the opaque", v, err)
+	}
+	if !bytes.Equal(rec[6:8], []byte{0, 0}) {
+		t.Errorf("padding overwritten: %x", rec[6:8])
 	}
 }
